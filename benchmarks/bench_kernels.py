@@ -9,10 +9,10 @@ is made of:
   :class:`~repro.integrate.pooled.PoolSampler`;
 * ``step`` — one DOPRI5 trial step (7 fused sampler stages + error
   estimate) through :meth:`Dopri5.attempt_steps_prepared`;
-* ``pool_build`` — constructing a :class:`BlockPool` from loaded blocks
-  (the cost the worker-side pool cache avoids);
-* ``advance`` — the full :func:`advance_pool` round loop, including the
-  small-batch scalar fast path.
+* ``pool_build`` — constructing a :class:`BlockPool` slot table from
+  loaded blocks (workers build one per advect call);
+* ``advance`` — a full :func:`advance_pool` call: the compiled DOPRI5
+  kernel where a C compiler is available, else the NumPy path.
 
 Each kernel runs at batch sizes k in {1, 4, 32, 256} (``pool_build``
 scales over block counts instead).  Wall-clock numbers are deliberately
@@ -60,7 +60,8 @@ from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 
 #: Batch sizes every per-particle kernel is measured at.  k=1 and k=4
-#: exercise the scalar small-batch regime; 32 and 256 the vectorized one.
+#: are the small-batch regime most worker calls are in; 32 and 256 the
+#: wide one.
 BATCH_SIZES = (1, 4, 32, 256)
 
 #: Pool sizes (block counts) for the pool-build benchmark.

@@ -13,7 +13,9 @@ Public surface
 ``IntegratorConfig``  tolerances, step bounds, termination thresholds
 ``Dopri5``            adaptive Dormand-Prince RK5(4)
 ``RK4``, ``Euler``    fixed-step baselines
-``advance_batch``     advance a batch of streamlines within one block
+``BlockPool``         the loaded blocks one advance call may sample
+``advance_pool``      advance streamlines to the edge of a block pool
+``PoolResult``        outcome of one ``advance_pool`` call
 ``integrate_single``  convenience serial integration across blocks
 """
 
@@ -21,17 +23,18 @@ from repro.integrate.streamline import Status, Streamline
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.fixed import Euler, RK4
-from repro.integrate.advect import AdvectionResult, advance_batch
+from repro.integrate.pooled import BlockPool, PoolResult, advance_pool
 from repro.integrate.single import integrate_single
 
 __all__ = [
-    "AdvectionResult",
+    "BlockPool",
     "Dopri5",
     "Euler",
     "IntegratorConfig",
+    "PoolResult",
     "RK4",
     "Status",
     "Streamline",
-    "advance_batch",
+    "advance_pool",
     "integrate_single",
 ]

@@ -2,57 +2,47 @@
 
 ``advance_pool`` advances *every* active streamline resident in a set of
 loaded blocks — together, in lockstep rounds — until each terminates or
-crosses out of the loaded set.  This matches the paper's workers more
-closely than per-block batching ("each processor integrates all streamlines
-to the edge of the loaded blocks") and it is the key NumPy optimization:
+crosses out of the loaded set.  This matches the paper's workers ("each
+processor integrates all streamlines to the edge of the loaded blocks"):
+particles that cross between two *loaded* blocks keep advancing inside
+the kernel (slot switch), never bouncing back to the per-rank scheduler.
+A one-block pool is the single-block case (``integrate_single``).
 
-* all loaded blocks (same node dims) are stacked into one flat buffer, so
-  one gather interpolates every particle regardless of which block it is
-  in — the per-round cost is independent of how many blocks are involved;
-* particles that cross between two *loaded* blocks keep advancing inside
-  the kernel (slot switch), never bouncing back to the per-rank scheduler.
+Two implementations of the rounds give bit-identical results:
 
-Trajectories are bit-identical to repeated single-block
-:func:`~repro.integrate.advect.advance_batch` calls: the same block data,
-clamping, and per-particle step controller state are used; only the batching
-of Python-level work differs.
+* the **compiled kernel** (:mod:`repro.integrate.native`,
+  ``_pool_kernel.c``) runs DOPRI5 per particle in C — sampling, stages,
+  error norm, step controller, classification and slot switching — and
+  returns each particle's vertices already grouped.  Batches here are
+  tiny (most calls advance 4 or fewer lines, the regime "A Guide to
+  Particle Advection Performance" names per-step cost the first term
+  of), so compiled steps beat any batching of NumPy calls;
+* the **NumPy path** (:func:`_numpy_rounds`) is the reference, the
+  fallback when no compiler is available, and the only path for other
+  integrators.  :class:`PoolSampler` is its fused trilinear gather over
+  the pool's stacked data: one index gather, one ``einsum`` weight
+  reduction, every intermediate written into preallocated workspaces.
 
-Hot-path structure
-------------------
-The dominant cost of advection at reproduction scale is per-*call* NumPy
-overhead, not per-element arithmetic (batches are tiny — the regime
-"A Guide to Particle Advection Performance" identifies as the advection
-bottleneck).  Three mechanisms keep it down:
-
-* :class:`BlockPool` instances are immutable once built and are cached by
-  the per-rank worker keyed on the loaded-block set, so the stacked flat
-  buffer is built once per working set instead of once per advect call;
-* :class:`PoolSampler` is a fused trilinear kernel: one index gather, one
-  ``einsum`` weight reduction, and every intermediate written into
-  preallocated workspaces (reused across the 7 DOPRI5 stages of a step
-  and across compaction rounds).  ``bind(slots)`` re-points the
-  per-particle block assignment without rebuilding closures or copying
-  pool geometry;
-* the round loop calls :meth:`Integrator.attempt_steps_prepared` —
-  validation runs once per advance call, not once per round.
-
-All fused chains evaluate the exact expression trees of the original
-straight-line NumPy code, so trajectories are bit-for-bit unchanged.
+A :class:`BlockPool` is a slot table of block data addresses and
+geometry, cheap enough that workers build one per advect call over the
+blocks their current lines occupy; the NumPy path's stacked copies are
+built only when it runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.integrate import dopri5 as _d5
+from repro.integrate import native
 from repro.integrate.base import Integrator, fast_einsum
 from repro.integrate.config import IntegratorConfig
+from repro.integrate.dopri5 import Dopri5
 from repro.integrate.streamline import Status, Streamline
-from repro.mesh.block import Block
+from repro.mesh.block import SLOT_ROW, Block
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.mesh.interpolate import corner_offsets
@@ -65,30 +55,6 @@ _CODE_TO_STATUS = {
     4: Status.ZERO_VELOCITY,
     5: Status.STEP_UNDERFLOW,
 }
-
-#: Largest batch the pure-Python scalar round loop handles.  Below this
-#: size, per-call NumPy dispatch costs more than doing the arithmetic in
-#: Python floats (every op on a k<=4 batch is dominated by fixed call
-#: overhead); above it, the vectorized path wins.
-_SCALAR_MAX_K = 4
-
-#: Pools larger than this (stacked node count) never build the Python
-#: float list the scalar path gathers from (bounds its real memory cost).
-_SCALAR_CTX_MAX_NODES = 1 << 20
-
-# DOPRI5 tableau rows as (stage index, coefficient) pairs, for the scalar
-# path's accumulation loops.  Zero coefficients are omitted, exactly like
-# the unrolled array chains in dopri5.py.
-_D5_POS_ROWS = (
-    ((0, _d5.A21),),
-    ((0, _d5.A31), (1, _d5.A32)),
-    ((0, _d5.A41), (1, _d5.A42), (2, _d5.A43)),
-    ((0, _d5.A51), (1, _d5.A52), (2, _d5.A53), (3, _d5.A54)),
-    ((0, _d5.A61), (1, _d5.A62), (2, _d5.A63), (3, _d5.A64), (4, _d5.A65)),
-    ((0, _d5.B1), (2, _d5.B3), (3, _d5.B4), (4, _d5.B5), (5, _d5.B6)),
-)
-_D5_ERR_ROW = ((0, _d5.E1), (2, _d5.E3), (3, _d5.E4), (4, _d5.E5),
-               (5, _d5.E6), (6, _d5.E7))
 
 
 class PoolSampler:
@@ -235,47 +201,87 @@ class PoolSampler:
         return fast_einsum("ke,kec->kc", w, corners, out=out)
 
 
-class BlockPool:
-    """A set of same-shaped loaded blocks stacked for single-gather
-    interpolation.
+#: NumPy view of one :attr:`BlockPool.table` row (``Block.slot_row``).
+SLOT_DTYPE = np.dtype([
+    ("data", "<u8"), ("block_id", "<i8"), ("lo", "<f8", (3,)),
+    ("scale", "<f8", (3,)), ("block_lo", "<f8", (3,)),
+    ("block_hi", "<f8", (3,))])
+assert SLOT_DTYPE.itemsize == SLOT_ROW.size
 
-    Pools are immutable once constructed (block data is never mutated in
-    place), which is what makes them safe to cache and reuse across
-    advect calls — see ``Worker.advect_pool``.
+
+class BlockPool:
+    """The same-shaped loaded blocks one :func:`advance_pool` call may
+    sample, as a slot table.
+
+    Slot ``i`` is ``blocks[i]``.  :attr:`table` packs one row per slot
+    (its data address, block id, sampling origin and scale, and bounds;
+    see ``Block.slot_row``) for the compiled kernel, so building a pool
+    copies no block data.  The stacked arrays the NumPy path gathers from
+    (:attr:`flat`, :attr:`lo`, ...) are built on first use.  Pools hold
+    their blocks and are immutable (block data is never mutated in
+    place).
     """
 
     def __init__(self, blocks: Sequence[Block]) -> None:
         blocks = list(blocks)
         if not blocks:
             raise ValueError("BlockPool needs at least one block")
-        dims = blocks[0].data.shape[:3]
+        dims = blocks[0]._dims
         for b in blocks:
-            if b.data.shape[:3] != dims:
+            if b._dims != dims:
                 raise ValueError(
                     "all pool blocks must share node dims; got "
-                    f"{b.data.shape[:3]} vs {dims}")
+                    f"{b._dims} vs {dims}")
         self.blocks = blocks
-        self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
+        self.dims = dims
         self.slot_of: Dict[int, int] = {
             b.block_id: i for i, b in enumerate(blocks)}
-        n_nodes = dims[0] * dims[1] * dims[2]
-        self.flat = np.concatenate([b._flat for b in blocks], axis=0)
-        self.slot_base = (np.arange(len(blocks), dtype=np.int64) * n_nodes)
-        self.lo = np.stack([b._lo for b in blocks])
-        self.scale = np.stack([b._node_scale for b in blocks])
+        self.table = b"".join([b.slot_row for b in blocks])
         self.node_max = blocks[0]._node_max
-        self.block_lo = np.stack([b.info.bounds.lo_array for b in blocks])
-        self.block_hi = np.stack([b.info.bounds.hi_array for b in blocks])
-        self.offsets = corner_offsets(self.dims[1], self.dims[2])
         self._sampler: Optional[PoolSampler] = None
-        self._scalar_ctx: object = None
 
     def __len__(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """:attr:`table` as a structured array (``SLOT_DTYPE``)."""
+        return np.frombuffer(self.table, dtype=SLOT_DTYPE)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return self.slots["lo"]
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return self.slots["scale"]
+
+    @cached_property
+    def block_lo(self) -> np.ndarray:
+        return self.slots["block_lo"]
+
+    @cached_property
+    def block_hi(self) -> np.ndarray:
+        return self.slots["block_hi"]
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Every slot's node data stacked, slot ``i`` from
+        ``slot_base[i]``."""
+        return np.concatenate([b._flat for b in self.blocks], axis=0)
+
+    @cached_property
+    def slot_base(self) -> np.ndarray:
+        nx, ny, nz = self.dims
+        return np.arange(len(self.blocks), dtype=np.int64) * (nx * ny * nz)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return corner_offsets(self.dims[1], self.dims[2])
+
     def sampler(self) -> PoolSampler:
         """The pool's persistent fused sampler (workspaces survive across
-        advect calls; rebind per round with :meth:`PoolSampler.bind`)."""
+        rounds; rebind per round with :meth:`PoolSampler.bind`)."""
         if self._sampler is None:
             self._sampler = PoolSampler(self)
         return self._sampler
@@ -287,439 +293,6 @@ class BlockPool:
         so callers can hold several simultaneously).
         """
         return PoolSampler(self).bind(np.asarray(slots, dtype=np.int64))
-
-    def scalar_ctx(self) -> Optional[tuple]:
-        """Python-float mirrors of the pool geometry for the scalar path.
-
-        Built lazily on first small-batch use (``None`` for pools too
-        large to mirror); immutable, like the pool itself.
-        """
-        if self._scalar_ctx is None:
-            if self.flat.shape[0] > _SCALAR_CTX_MAX_NODES:
-                self._scalar_ctx = False
-            else:
-                nx, ny, nz = self.dims
-                # The flat mirror is assembled from per-*block* cached
-                # lists: pools are rebuilt far more often than blocks are
-                # reloaded, so each block's data is converted once for its
-                # lifetime, not once per pool.
-                flat: List[float] = []
-                for b in self.blocks:
-                    part = getattr(b, "_scalar_flat", None)
-                    if part is None:
-                        part = b._flat.ravel().tolist()
-                        b._scalar_flat = part
-                    flat += part
-                self._scalar_ctx = (
-                    flat,
-                    self.lo.tolist(),
-                    self.scale.tolist(),
-                    self.slot_base.tolist(),
-                    self.block_lo.tolist(),
-                    self.block_hi.tolist(),
-                    tuple(float(v) for v in self.node_max),
-                    (nx - 2, ny - 2, nz - 2),
-                    (ny * nz, nz),
-                    tuple(int(o) * 3 for o in self.offsets),
-                )
-        return self._scalar_ctx or None
-
-
-def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
-                    hcur: float, rtol: float, atol: float,
-                    k1c: Optional[tuple]) -> tuple:
-    """One DOPRI5 trial step for a single particle, in Python floats.
-
-    Bit-for-bit identical to :meth:`Dopri5.attempt_steps_prepared` over a
-    bound :class:`PoolSampler` with ``k == 1``: Python float arithmetic is
-    the same IEEE-754 double arithmetic as NumPy's elementwise loops, the
-    trilinear accumulation below follows the einsum's sequential corner
-    order, and the error norm follows c_einsum's ``(r0²+r2²)+r1²``
-    3-element order (all verified empirically by the kernel-equivalence
-    tests).  Exists because at ``k <= _SCALAR_MAX_K`` per-call NumPy
-    dispatch dominates the actual arithmetic.
-
-    ``k1c``, when given, is a previously computed ``f(x, y, z)`` under the
-    same ``pctx`` (an accepted step's 7th stage at the new position, or a
-    rejected step's 1st stage at the unchanged one — DOPRI5's FSAL
-    property) and replaces the first stage evaluation; the sampler is
-    deterministic, so reuse is exact.  Returns
-    ``(newx, newy, newz, err, k1, k7)`` with the stage tuples for the
-    caller to carry forward.
-    """
-    (flat, o0, o1, o2, o3, o4, o5, o6, o7,
-     nmx, nmy, nmz, cmx, cmy, cmz, nyz, nz) = sctx
-    lox, loy, loz, scx, scy, scz, b0 = pctx
-    kx = [0.0] * 7
-    ky = [0.0] * 7
-    kz = [0.0] * 7
-    qx = x
-    qy = y
-    qz = z
-    newx = newy = newz = 0.0
-    jprev = -1
-    c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = 0.0
-    c8 = c9 = c10 = c11 = c12 = c13 = c14 = c15 = 0.0
-    c16 = c17 = c18 = c19 = c20 = c21 = c22 = c23 = 0.0
-    for s in range(7):
-        if s == 0 and k1c is not None:
-            kx[0], ky[0], kz[0] = k1c
-            row = _D5_POS_ROWS[0]
-            i0, c = row[0]
-            ax = kx[i0] * c
-            ay = ky[i0] * c
-            az = kz[i0] * c
-            qx = ax * hcur + x
-            qy = ay * hcur + y
-            qz = az * hcur + z
-            continue
-        # Trilinear eval at (qx, qy, qz): clip to node space, truncate to
-        # the cell, tensor-product weights in ((a*b)*c) grouping, corners
-        # accumulated in z-fastest order — the array kernel's exact ops.
-        # Consecutive stages usually land in the same cell, so the 24
-        # gathered corner values are memoized on the flat cell index.
-        gx = (qx - lox) * scx
-        if gx > nmx:
-            gx = nmx
-        if gx < 0.0:
-            gx = 0.0
-        ix = int(gx)
-        if ix > cmx:
-            ix = cmx
-        gy = (qy - loy) * scy
-        if gy > nmy:
-            gy = nmy
-        if gy < 0.0:
-            gy = 0.0
-        iy = int(gy)
-        if iy > cmy:
-            iy = cmy
-        gz = (qz - loz) * scz
-        if gz > nmz:
-            gz = nmz
-        if gz < 0.0:
-            gz = 0.0
-        iz = int(gz)
-        if iz > cmz:
-            iz = cmz
-        tx = gx - ix
-        ty = gy - iy
-        tz = gz - iz
-        sx = 1.0 - tx
-        sy = 1.0 - ty
-        sz = 1.0 - tz
-        sxsy = sx * sy
-        sxty = sx * ty
-        txsy = tx * sy
-        txty = tx * ty
-        j = (ix * nyz + iy * nz + iz + b0) * 3
-        if j != jprev:
-            jprev = j
-            m = j + o0
-            c0 = flat[m]
-            c1 = flat[m + 1]
-            c2 = flat[m + 2]
-            m = j + o1
-            c3 = flat[m]
-            c4 = flat[m + 1]
-            c5 = flat[m + 2]
-            m = j + o2
-            c6 = flat[m]
-            c7 = flat[m + 1]
-            c8 = flat[m + 2]
-            m = j + o3
-            c9 = flat[m]
-            c10 = flat[m + 1]
-            c11 = flat[m + 2]
-            m = j + o4
-            c12 = flat[m]
-            c13 = flat[m + 1]
-            c14 = flat[m + 2]
-            m = j + o5
-            c15 = flat[m]
-            c16 = flat[m + 1]
-            c17 = flat[m + 2]
-            m = j + o6
-            c18 = flat[m]
-            c19 = flat[m + 1]
-            c20 = flat[m + 2]
-            m = j + o7
-            c21 = flat[m]
-            c22 = flat[m + 1]
-            c23 = flat[m + 2]
-        w = sxsy * sz
-        vx = w * c0
-        vy = w * c1
-        vz = w * c2
-        w = sxsy * tz
-        vx += w * c3
-        vy += w * c4
-        vz += w * c5
-        w = sxty * sz
-        vx += w * c6
-        vy += w * c7
-        vz += w * c8
-        w = sxty * tz
-        vx += w * c9
-        vy += w * c10
-        vz += w * c11
-        w = txsy * sz
-        vx += w * c12
-        vy += w * c13
-        vz += w * c14
-        w = txsy * tz
-        vx += w * c15
-        vy += w * c16
-        vz += w * c17
-        w = txty * sz
-        vx += w * c18
-        vy += w * c19
-        vz += w * c20
-        w = txty * tz
-        vx += w * c21
-        vy += w * c22
-        vz += w * c23
-        kx[s] = vx
-        ky[s] = vy
-        kz[s] = vz
-        if s == 6:
-            break
-        row = _D5_POS_ROWS[s]
-        i0, c = row[0]
-        ax = kx[i0] * c
-        ay = ky[i0] * c
-        az = kz[i0] * c
-        for i0, c in row[1:]:
-            ax += kx[i0] * c
-            ay += ky[i0] * c
-            az += kz[i0] * c
-        if s == 5:
-            # new_pos = pos + (incr5 * h)
-            newx = x + ax * hcur
-            newy = y + ay * hcur
-            newz = z + az * hcur
-            qx = newx
-            qy = newy
-            qz = newz
-        else:
-            qx = ax * hcur + x
-            qy = ay * hcur + y
-            qz = az * hcur + z
-    i0, c = _D5_ERR_ROW[0]
-    ex = kx[i0] * c
-    ey = ky[i0] * c
-    ez = kz[i0] * c
-    for i0, c in _D5_ERR_ROW[1:]:
-        ex += kx[i0] * c
-        ey += ky[i0] * c
-        ez += kz[i0] * c
-    ex = ex * hcur
-    ey = ey * hcur
-    ez = ez * hcur
-    # scale = atol + rtol * maximum(|pos|, |new_pos|), per component
-    ux = abs(x)
-    t2 = abs(newx)
-    if t2 > ux:
-        ux = t2
-    uy = abs(y)
-    t2 = abs(newy)
-    if t2 > uy:
-        uy = t2
-    uz = abs(z)
-    t2 = abs(newz)
-    if t2 > uz:
-        uz = t2
-    rx = ex / (ux * rtol + atol)
-    ry = ey / (uy * rtol + atol)
-    rz = ez / (uz * rtol + atol)
-    err = rx * rx + rz * rz
-    err = err + ry * ry
-    err = err / 3.0
-    return (newx, newy, newz, math.sqrt(err),
-            (kx[0], ky[0], kz[0]), (kx[6], ky[6], kz[6]))
-
-
-def _scalar_rounds(pool: "BlockPool", ctx: tuple,
-                   decomposition: Decomposition, integrator: Integrator,
-                   cfg: IntegratorConfig, alive: np.ndarray,
-                   pos: np.ndarray, h: np.ndarray, time: np.ndarray,
-                   steps: np.ndarray, slot: np.ndarray, codes: np.ndarray,
-                   exit_bid: np.ndarray, geom_idx: List[np.ndarray],
-                   geom_pos: List[np.ndarray], dlo: np.ndarray,
-                   dhi: np.ndarray, h_min_edge: float, rounds: int,
-                   round_limit: Optional[int], max_rounds: int,
-                   result: "PoolResult") -> "tuple[int, np.ndarray]":
-    """Small-batch rounds of :func:`advance_pool` in Python floats.
-
-    Runs the same lockstep rounds as the array path — one trial step per
-    particle per round, identical acceptance, step control, and exit
-    classification on identical bit patterns — until every particle stops
-    or the round budget runs out.  Returns the updated round count and the
-    indices still alive; all per-particle state arrays and the geometry
-    accumulators are updated in place, exactly as the array path would
-    have.
-    """
-    (flat, lo_l, sc_l, base_l, blo_l, bhi_l,
-     node_max, cell_max, strides, off3) = ctx
-    sctx = (flat,) + off3 + node_max + cell_max + strides
-    dlo0, dlo1, dlo2 = float(dlo[0]), float(dlo[1]), float(dlo[2])
-    dhi0, dhi1, dhi2 = float(dhi[0]), float(dhi[1]), float(dhi[2])
-    rtol = integrator.rtol
-    atol = integrator.atol
-    exp_ = -1.0 / integrator.order
-    safety = cfg.safety
-    shrink = cfg.shrink_limit
-    grow = cfg.grow_limit
-    h_min_ = cfg.h_min
-    h_max_ = cfg.h_max
-    min_speed = cfg.min_speed
-    max_steps_ = cfg.max_steps
-    slot_of = pool.slot_of
-    # Crossing relocation, scalarized (same divide/floor/clamp as
-    # Decomposition.locate_many; a crossing particle is always inside the
-    # domain — out-of-domain takes classification precedence — so the
-    # inside test is not needed).
-    bs = decomposition._block_size
-    bs0, bs1, bs2 = float(bs[0]), float(bs[1]), float(bs[2])
-    bx, by, _bz = decomposition.blocks_per_axis
-    bxm, bym, bzm = bx - 1, by - 1, _bz - 1
-
-    def pctx_for(s_: int) -> tuple:
-        lo = lo_l[s_]
-        sc = sc_l[s_]
-        return (lo[0], lo[1], lo[2], sc[0], sc[1], sc[2], base_l[s_])
-
-    # rec = [i, x, y, z, h, t, steps, slot, pctx, (blo, bhi), buf, k1]
-    # k1 is the FSAL stage cache: an accepted step's 7th stage is the
-    # next step's first stage (same point, same block context), and a
-    # rejected step retries from the unchanged position, so its own
-    # first stage carries over.  Invalidated on block crossing.
-    parts = []
-    done = []
-    for i, (x, y, z), hv, tv, sv, s_ in zip(
-            alive.tolist(), pos[alive].tolist(), h[alive].tolist(),
-            time[alive].tolist(), steps[alive].tolist(),
-            slot[alive].tolist()):
-        parts.append([i, x, y, z, hv, tv, sv, s_, pctx_for(s_),
-                      (blo_l[s_], bhi_l[s_]), [], None])
-
-    while parts:
-        if round_limit is not None and rounds >= round_limit:
-            break
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(
-                f"advance_pool exceeded {max_rounds} rounds; "
-                "step controller is not converging")
-        result.attempted_steps += len(parts)
-        survivors = []
-        for rec in parts:
-            x = rec[1]
-            y = rec[2]
-            z = rec[3]
-            hcur = rec[4]
-            newx, newy, newz, err, k1, k7 = _d5_step_scalar(
-                sctx, rec[8], x, y, z, hcur, rtol, atol, rec[11])
-            rec[11] = k1
-            accept = err <= 1.0
-            dx = newx - x
-            dy = newy - y
-            dz = newz - z
-            disp2 = dx * dx + dz * dz
-            disp2 = disp2 + dy * dy
-            ms = min_speed * hcur
-            stagnant = accept and disp2 < ms * ms
-            underflow = not accept and hcur <= h_min_edge
-            nsteps = rec[6]
-            if accept:
-                x = newx
-                y = newy
-                z = newz
-                rec[1] = x
-                rec[2] = y
-                rec[3] = z
-                rec[5] = rec[5] + hcur
-                nsteps += 1
-                rec[6] = nsteps
-                rec[10].append((newx, newy, newz))
-                rec[11] = k7
-                result.accepted_steps += 1
-            factor = err
-            if factor < 1e-100:
-                factor = 1e-100
-            factor = float(np.power(factor, exp_))
-            factor = factor * safety
-            if factor < shrink:
-                factor = shrink
-            elif factor > grow:
-                factor = grow
-            factor = factor * hcur
-            if factor < h_min_:
-                factor = h_min_
-            elif factor > h_max_:
-                factor = h_max_
-            rec[4] = factor
-            code = 0
-            if accept:
-                blo, bhi = rec[9]
-                if (x < blo[0] or x > bhi[0] or y < blo[1] or y > bhi[1]
-                        or z < blo[2] or z > bhi[2]):
-                    code = 1
-                if nsteps >= max_steps_:
-                    code = 3
-                if (x < dlo0 or x > dhi0 or y < dlo1 or y > dhi1
-                        or z < dlo2 or z > dhi2):
-                    code = 2
-            if underflow:
-                code = 5
-            if stagnant:
-                code = 4
-            if code == _CODE_EXITED:
-                bi = math.floor((x - dlo0) / bs0)
-                if bi > bxm:
-                    bi = bxm
-                if bi < 0:
-                    bi = 0
-                bj = math.floor((y - dlo1) / bs1)
-                if bj > bym:
-                    bj = bym
-                if bj < 0:
-                    bj = 0
-                bk = math.floor((z - dlo2) / bs2)
-                if bk > bzm:
-                    bk = bzm
-                if bk < 0:
-                    bk = 0
-                bid = bi + bx * (bj + by * bk)
-                new_slot = slot_of.get(bid, -1)
-                if new_slot >= 0:
-                    rec[7] = new_slot
-                    rec[8] = pctx_for(new_slot)
-                    rec[9] = (blo_l[new_slot], bhi_l[new_slot])
-                    rec[11] = None  # new block context: FSAL invalid
-                    code = 0
-                else:
-                    exit_bid[rec[0]] = bid
-            if code == _CODE_ACTIVE:
-                survivors.append(rec)
-            else:
-                codes[rec[0]] = code
-                done.append(rec)
-        parts = survivors
-
-    recs = parts + done
-    idx = [rec[0] for rec in recs]
-    pos[idx] = [rec[1:4] for rec in recs]
-    h[idx] = [rec[4] for rec in recs]
-    time[idx] = [rec[5] for rec in recs]
-    steps[idx] = [rec[6] for rec in recs]
-    slot[idx] = [rec[7] for rec in recs]
-    for rec in recs:
-        buf = rec[10]
-        if buf:
-            geom_idx.append(np.full(len(buf), rec[0], dtype=np.int64))
-            geom_pos.append(np.array(buf, dtype=np.float64))
-    return rounds, np.array([rec[0] for rec in parts], dtype=np.int64)
 
 
 @dataclass
@@ -751,87 +324,152 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
     leftover active particles come back in ``result.in_pool`` so callers
     can interleave message handling (the simulated-time analogue of the
     paper's per-streamline loop iteration checking for messages).
+    ``max_rounds`` (default ``4 * cfg.max_steps + 64``) bounds them too,
+    but exceeding it raises ``RuntimeError``: the step controller is not
+    converging.
+
+    DOPRI5 runs the compiled kernel when it is available
+    (:mod:`repro.integrate.native`); other integrators, and DOPRI5
+    without a compiler, run the NumPy path.  Both give bit-identical
+    results.
     """
     lines = list(streamlines)
     result = PoolResult()
     if not lines:
         return result
+    if max_rounds is None:
+        max_rounds = 4 * cfg.max_steps + 64
+    budget = max(0, max_rounds if round_limit is None
+                 else min(round_limit, max_rounds))
 
-    k = len(lines)
-    pos = np.empty((k, 3), dtype=np.float64)
-    h = np.empty(k, dtype=np.float64)
-    steps = np.empty(k, dtype=np.int64)
-    time = np.empty(k, dtype=np.float64)
-    slot = np.empty(k, dtype=np.int64)
-    for i, s in enumerate(lines):
+    # Per-particle state: f holds x, y, z, h, time; n holds steps, slot,
+    # fresh (no geometry yet: the seed is the first vertex), code, exit
+    # block id, and the vertex count of this call.
+    slot_of = pool.slot_of
+    h_min, h_max = cfg.h_min, cfg.h_max
+    frows = []
+    nrows = []
+    n_fresh = 0
+    vert_cap = 0
+    for s in lines:
         if s.status is not Status.ACTIVE:
             raise ValueError(f"streamline {s.sid} is not active "
                              f"({s.status.value})")
-        try:
-            slot[i] = pool.slot_of[s.block_id]
-        except KeyError:
+        slot = slot_of.get(s.block_id)
+        if slot is None:
             raise ValueError(f"streamline {s.sid}: block {s.block_id} "
-                             "is not in the pool") from None
-        pos[i] = s.position
-        h[i] = s.h if s.h > 0 else cfg.h_init
-        steps[i] = s.steps
-        time[i] = s.time
-    np.clip(h, cfg.h_min, cfg.h_max, out=h)
+                             "is not in the pool")
+        fresh = not s.segments
+        h = s.h if s.h > 0 else cfg.h_init
+        if h < h_min:  # np.clip(h, h_min, h_max), passing NaN through
+            h = h_min
+        elif h > h_max:
+            h = h_max
+        x, y, z = s.position.tolist()
+        frows.append((x, y, z, h, s.time))
+        nrows.append((s.steps, slot, fresh, _CODE_ACTIVE, -3, 0))
+        n_fresh += fresh
+        vert_cap += fresh + min(budget, max(1, cfg.max_steps - s.steps))
+    f = np.array(frows, dtype=np.float64)
+    n = np.array(nrows, dtype=np.int64)
 
-    codes = np.zeros(k, dtype=np.int64)
-    exit_bid = np.full(k, -3, dtype=np.int64)
+    kern = native.kernel() if type(integrator) is Dopri5 else None
+    if kern is not None:
+        verts = np.empty((max(vert_cap, 1), 3), dtype=np.float64)
+        params = kern.params(pool.dims, cfg, integrator, domain,
+                             decomposition, len(pool), round_limit,
+                             max_rounds)
+        attempted = kern.advance(params, pool.table, f, n, verts)
+        if attempted == -1:
+            raise RuntimeError(
+                f"advance_pool exceeded {max_rounds} rounds; "
+                "step controller is not converging")
+        if attempted < 0:
+            raise AssertionError("pool kernel vertex buffer overflow")
+    else:
+        verts, attempted = _numpy_rounds(
+            pool, domain, decomposition, integrator, cfg, f, n,
+            max_rounds, round_limit)
 
-    geom_idx: List[np.ndarray] = []
-    geom_pos: List[np.ndarray] = []
-    fresh = np.array([i for i, s in enumerate(lines) if not s.segments],
-                     dtype=np.int64)
-    if len(fresh):
-        geom_idx.append(fresh)
-        geom_pos.append(pos[fresh].copy())
+    nrows = n.tolist()
+    n_verts = sum(row[5] for row in nrows)
+    if n_verts < len(verts):
+        verts = verts[:n_verts].copy()
+    result.attempted_steps = attempted
+    result.accepted_steps = n_verts - n_fresh
+
+    start = 0
+    positions = f[:, :3].copy()
+    for s, p, (_, _, _, hv, tv), (steps, slot, _, code, exit_bid, count) \
+            in zip(lines, positions, f.tolist(), nrows):
+        if count:
+            s.append_segment(verts[start:start + count])
+            start += count
+        s.position = p
+        s.h = hv
+        s.time = tv
+        s.steps = steps
+        if code == _CODE_ACTIVE:
+            s.block_id = pool.blocks[slot].block_id
+            result.in_pool.append(s)
+        elif code == _CODE_EXITED:
+            s.block_id = exit_bid
+            result.exited.append(s)
+        else:
+            s.terminate(_CODE_TO_STATUS[code])
+            result.terminated.append(s)
+    return result
+
+
+def _numpy_rounds(pool: BlockPool, domain: Bounds,
+                  decomposition: Decomposition, integrator: Integrator,
+                  cfg: IntegratorConfig, f: np.ndarray, n: np.ndarray,
+                  max_rounds: int, round_limit: Optional[int]
+                  ) -> "tuple[np.ndarray, int]":
+    """:func:`advance_pool`'s rounds as batched NumPy arrays.
+
+    The reference implementation, and the only one for integrators other
+    than DOPRI5.  Updates ``f`` / ``n`` in place like the compiled kernel
+    and returns ``(vertices grouped by particle, attempted steps)``.
+    """
+    k = len(f)
+    # The batch arrays already satisfy the integrator's contract;
+    # validation is hoisted here so the round loop can use the prepared
+    # fast path.
+    pos, h = Integrator.validate_batch(f[:, :3], f[:, 3])
+    time = f[:, 4]
+    steps = n[:, 0]
+    slot = n[:, 1]
+    codes = n[:, 3]
+    exit_bid = n[:, 4]
+
+    fresh = np.flatnonzero(n[:, 2])
+    geom_idx: List[np.ndarray] = [fresh]
+    geom_pos: List[np.ndarray] = [pos[fresh]]
 
     dlo = domain.lo_array
     dhi = domain.hi_array
-    if max_rounds is None:
-        max_rounds = 4 * cfg.max_steps + 64
     h_min_edge = cfg.h_min * (1.0 + 1e-12)
-
-    # The batch arrays above already satisfy the integrator's contract;
-    # validation is hoisted here so the round loop can use the prepared
-    # fast path.
-    pos, h = Integrator.validate_batch(pos, h)
     sampler = pool.sampler()
-
-    # The scalar fast path handles small surviving batches of the exact
-    # DOPRI5 + trilinear kernel; any other integrator runs the array path
-    # at every size.
-    scalar_ok = type(integrator) is _d5.Dopri5
+    attempted = 0
 
     alive = np.arange(k, dtype=np.int64)
     rounds = 0
     while len(alive):
         if round_limit is not None and rounds >= round_limit:
             break
-        if scalar_ok and len(alive) <= _SCALAR_MAX_K:
-            ctx = pool.scalar_ctx()
-            if ctx is not None:
-                rounds, alive = _scalar_rounds(
-                    pool, ctx, decomposition, integrator, cfg, alive, pos,
-                    h, time, steps, slot, codes, exit_bid, geom_idx,
-                    geom_pos, dlo, dhi, h_min_edge, rounds, round_limit,
-                    max_rounds, result)
-                continue
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError(
                 f"advance_pool exceeded {max_rounds} rounds; "
                 "step controller is not converging")
         a_slot = slot[alive]
-        f = sampler.bind(a_slot)
+        vel = sampler.bind(a_slot)
         p = pos[alive]
         hh = h[alive]
 
-        new_p, err = integrator.attempt_steps_prepared(f, p, hh)
-        result.attempted_steps += len(alive)
+        new_p, err = integrator.attempt_steps_prepared(vel, p, hh)
+        attempted += len(alive)
         if integrator.adaptive:
             accept = err <= 1.0
         else:
@@ -848,14 +486,15 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             pos[acc_idx] = accepted_pos
             time[acc_idx] += hh[accept]
             steps[acc_idx] += 1
-            result.accepted_steps += len(acc_idx)
             geom_idx.append(acc_idx)
             geom_pos.append(accepted_pos)
 
         h[alive] = Integrator.adapt_h(hh, err, integrator.order, cfg)
 
-        # Classification.  Particles that stepped out of their block but
-        # into another *pool* block switch slots and keep going.
+        # Classification (highest wins: stagnant > underflow > domain
+        # exit > budget > block exit).  Particles that stepped out of
+        # their block but into another *pool* block switch slots and keep
+        # going.
         p_now = pos[alive]
         out_domain = ((p_now < dlo) | (p_now > dhi)).any(axis=1)
         out_block = ((p_now < pool.block_lo[a_slot])
@@ -888,35 +527,9 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             codes[alive[stopped]] = code[stopped]
             alive = alive[~stopped]
 
-    # Geometry assembly (one stable sort; chronological within particle).
-    if geom_idx:
-        all_idx = np.concatenate(geom_idx)
-        all_pos = np.concatenate(geom_pos)
-        order = np.argsort(all_idx, kind="stable")
-        sorted_idx = all_idx[order]
-        sorted_pos = all_pos[order]
-        cuts = list(np.flatnonzero(np.diff(sorted_idx)) + 1)
-        start = 0
-        for end in cuts + [len(sorted_idx)]:
-            lines[int(sorted_idx[start])].append_segment(
-                sorted_pos[start:end])
-            start = end
-
-    still_alive = set(int(i) for i in alive)
-    for i, s in enumerate(lines):
-        s.position = pos[i].copy()
-        s.h = float(h[i])
-        s.time = float(time[i])
-        s.steps = int(steps[i])
-        if i in still_alive:
-            s.block_id = pool.blocks[int(slot[i])].block_id
-            result.in_pool.append(s)
-            continue
-        code = int(codes[i])
-        if code == _CODE_EXITED:
-            s.block_id = int(exit_bid[i])
-            result.exited.append(s)
-        else:
-            s.terminate(_CODE_TO_STATUS[code])
-            result.terminated.append(s)
-    return result
+    # Group the vertices by particle (one stable sort keeps each
+    # particle's chronological order).
+    all_idx = np.concatenate(geom_idx)
+    order = np.argsort(all_idx, kind="stable")
+    n[:, 5] = np.bincount(all_idx, minlength=k)
+    return np.concatenate(geom_pos)[order], attempted

@@ -9,8 +9,9 @@ Two uses:
 
 ``integrate_single`` runs one curve at a time across the block-decomposed
 dataset: locate the containing block, advance within it via the same
-:func:`~repro.integrate.advect.advance_batch` kernel the parallel
-algorithms use, hop to the next block, repeat.
+:func:`~repro.integrate.pooled.advance_pool` kernel the parallel
+algorithms use (on a one-block pool), hop to the block the curve exits
+into, repeat.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from repro.fields.base import VectorField
 from repro.fields.sampling import sample_block
-from repro.integrate.advect import advance_batch
 from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
+from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline, make_streamlines
 from repro.mesh.block import Block
 from repro.mesh.decomposition import Decomposition
@@ -68,22 +69,13 @@ def integrate_single(field: VectorField, decomposition: Decomposition,
             continue
         line.block_id = bid
         while line.status is Status.ACTIVE:
+            # An exit leaves block_id naming the (in-domain) block the
+            # curve crossed into.
             block = cache.get(line.block_id)
             if block is None:
                 block = sample_block(field,
                                      decomposition.info(line.block_id))
                 cache[line.block_id] = block
-            advance_batch([line], block, decomposition.domain,
-                          integrator, cfg)
-            if line.status is Status.ACTIVE:
-                nbid = int(decomposition.locate(line.position))
-                if nbid < 0:
-                    line.terminate(Status.OUT_OF_BOUNDS)
-                    break
-                if nbid == line.block_id:
-                    # Numerical edge: position re-locates to the same
-                    # block (landed exactly on a face).  Nudge the step
-                    # and continue; advance_batch will move it off.
-                    pass
-                line.block_id = nbid
+            advance_pool([line], BlockPool([block]), decomposition.domain,
+                         decomposition, integrator, cfg)
     return lines

@@ -10,7 +10,9 @@ want one-cell overlap).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,6 +20,11 @@ import numpy as np
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import BlockInfo
 from repro.mesh.interpolate import corner_offsets, trilinear, trilinear_nodes
+
+#: Layout of :attr:`Block.slot_row`: data address, block id, sampling
+#: origin and scale (node coordinates are ``(p - lo) * scale``), and the
+#: block bounds' lo and hi corners.
+SLOT_ROW = struct.Struct("<Qq12d")
 
 
 @dataclass
@@ -51,6 +58,23 @@ class Block:
         self._flat = np.ascontiguousarray(self.data).reshape(-1, 3)
         self._dims = (int(dims[0]), int(dims[1]), int(dims[2]))
         self._offsets = corner_offsets(self._dims[1], self._dims[2])
+
+    @cached_property
+    def slot_row(self) -> bytes:
+        """This block's row of a ``BlockPool`` slot table (``SLOT_ROW``).
+
+        It holds the address of :attr:`_flat` in this process, so it is
+        dropped when the block is pickled.
+        """
+        return SLOT_ROW.pack(
+            self._flat.ctypes.data, self.block_id, *self._lo,
+            *self._node_scale, *self.info.bounds.lo_array,
+            *self.info.bounds.hi_array)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("slot_row", None)
+        return state
 
     @property
     def block_id(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.base import Worker, owner_of_block, partition_contiguous
 from repro.core.problem import ProblemSpec
 from repro.fields import UniformField
+from repro.integrate.pooled import BlockPool
 from repro.integrate.streamline import Streamline
 from repro.mesh.bounds import Bounds
 from repro.sim.cluster import Cluster
@@ -158,7 +159,7 @@ def test_own_line_can_oom():
 
 
 # --------------------------------------------------------------------- #
-# Worker pool cache
+# Worker pools
 # --------------------------------------------------------------------- #
 def load_blocks(worker, cluster, bids):
     def prog():
@@ -168,63 +169,32 @@ def load_blocks(worker, cluster, bids):
     cluster.run()
 
 
-def test_pool_cache_reuses_pool_for_same_block_set():
+def test_advect_pool_builds_pool_from_resident_blocks(monkeypatch):
+    """Each advect call pools exactly the resident blocks its lines
+    occupy (lines of other blocks are demoted), and no pool outlives its
+    call."""
+    import repro.core.base as base_mod
+
     worker, cluster = make_worker()
     load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool_a = worker._pool_for(blocks)
-    pool_b = worker._pool_for(blocks)
-    assert pool_a is pool_b
-    # A different subset is a different pool.
-    pool_c = worker._pool_for(blocks[:1])
-    assert pool_c is not pool_a
+    pools = []
 
+    def spy(blocks):
+        pools.append(BlockPool(blocks))
+        return pools[-1]
 
-def test_pool_cache_invalidated_on_eviction():
-    worker, cluster = make_worker(cache_blocks=2)
-    load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool = worker._pool_for(blocks)
-    # Loading two more blocks evicts 0 and 1 -> cached pool dropped.
-    load_blocks(worker, cluster, [2, 3])
-    assert not worker._pool_cache
-    # Reloading block 0 yields a new object; a rebuilt pool must not
-    # serve the stale stacked data.
-    load_blocks(worker, cluster, [0, 1])
-    fresh = [worker.cache.get(0), worker.cache.get(1)]
-    pool2 = worker._pool_for(fresh)
-    assert pool2 is not pool
-    assert all(p is b for p, b in zip(pool2.blocks, fresh))
-
-
-def test_pool_cache_identity_check_rejects_stale_members():
-    worker, cluster = make_worker()
-    load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool = worker._pool_for(blocks)
-    # Simulate an eviction path that bypassed ensure_block: same id,
-    # different resident object (BlockStore memoizes, so build a true
-    # clone directly from the field).
-    from repro.fields import sample_block
-
-    clone = sample_block(worker.problem.field,
-                         worker.problem.decomposition.info(0))
-    worker.cache.evict(0)
-    worker.cache.put(clone)
-    pool2 = worker._pool_for([clone, blocks[1]])
-    assert pool2 is not pool
-    assert pool2.blocks[0] is clone
-
-
-def test_pool_cache_is_bounded():
-    from repro.core.base import POOL_CACHE_ENTRIES
-
-    worker, cluster = make_worker(cache_blocks=8)
-    load_blocks(worker, cluster, list(range(8)))
-    loaded = [worker.cache.get(b) for b in range(8)]
-    for n in range(1, 9):
-        worker._pool_for(loaded[:n])
-    assert len(worker._pool_cache) <= POOL_CACHE_ENTRIES
+    monkeypatch.setattr(base_mod, "BlockPool", spy)
+    line = Streamline(sid=0, seed=np.array([0.2, 0.2, 0.2]), block_id=0)
+    stray = Streamline(sid=1, seed=np.array([0.9, 0.9, 0.9]), block_id=7)
+    worker.own_line(line)
+    for _ in range(2):
+        _, demoted = drive(cluster, worker.advect_pool([line, stray],
+                                                       round_limit=1))
+        assert demoted == [stray]
+    assert len(pools) == 2 and pools[0] is not pools[1]
+    for pool in pools:
+        assert len(pool.blocks) == 1
+        assert pool.blocks[0] is worker.cache.peek(0)
 
 
 def test_cache_capacity_derived_from_memory_when_unset():

@@ -1,13 +1,14 @@
-"""Tests of the in-block advection kernel and streamline lifecycle."""
+"""Single-block advection (``advance_pool`` on a one-block pool) and the
+streamline lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro.fields import UniformField, sample_block
 from repro.fields.library import RigidRotationField, SinkField
-from repro.integrate.advect import advance_batch
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
+from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline, make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
@@ -22,6 +23,12 @@ def block_of(field, dec, bid):
     return sample_block(field, dec.info(bid))
 
 
+def advance_in_block(lines, block, domain, dec, integrator, cfg):
+    """Advance ``lines`` within ``block`` alone: a one-block pool."""
+    return advance_pool(lines, BlockPool([block]), domain, dec, integrator,
+                        cfg)
+
+
 def test_uniform_flow_exits_block():
     field = UniformField(velocity=(1.0, 0.0, 0.0),
                          domain=Bounds.cube(0.0, 1.0))
@@ -30,12 +37,12 @@ def test_uniform_flow_exits_block():
     line = Streamline(sid=0, seed=np.array([0.1, 0.25, 0.25]),
                       block_id=0)
     cfg = IntegratorConfig(max_steps=500, h_max=0.05)
-    res = advance_batch([line], block, field.domain, Dopri5(), cfg)
+    res = advance_in_block([line], block, field.domain, dec, Dopri5(), cfg)
     assert line.status is Status.ACTIVE
     assert res.exited == [line]
     assert res.terminated == []
     assert line.position[0] > 0.5  # crossed the block face
-    assert line.block_id == -2  # caller must relocate
+    assert line.block_id == dec.linear_id(1, 0, 0)  # the block entered
 
 
 def test_uniform_flow_eventually_out_of_domain():
@@ -48,7 +55,7 @@ def test_uniform_flow_eventually_out_of_domain():
     line = Streamline(sid=0, seed=np.array([0.6, 0.25, 0.25]),
                       block_id=bid)
     cfg = IntegratorConfig(max_steps=500, h_max=0.05)
-    res = advance_batch([line], block, field.domain, Dopri5(), cfg)
+    res = advance_in_block([line], block, field.domain, dec, Dopri5(), cfg)
     assert line.status is Status.OUT_OF_BOUNDS
     assert res.terminated == [line]
 
@@ -60,7 +67,7 @@ def test_max_steps_termination():
     block = block_of(field, dec, bid)
     line = Streamline(sid=0, seed=np.array([0.1, 0.1, 0.1]), block_id=bid)
     cfg = IntegratorConfig(max_steps=5, h_init=0.001, h_max=0.001)
-    advance_batch([line], block, field.domain, Dopri5(), cfg)
+    advance_in_block([line], block, field.domain, dec, Dopri5(), cfg)
     assert line.status is Status.MAX_STEPS
     assert line.steps == 5
 
@@ -73,7 +80,7 @@ def test_zero_velocity_termination_at_sink():
     line = Streamline(sid=0, seed=np.array([0.05, 0.05, 0.05]),
                       block_id=bid)
     cfg = IntegratorConfig(max_steps=5000, min_speed=1e-4, h_max=0.1)
-    advance_batch([line], block, field.domain, Dopri5(), cfg)
+    advance_in_block([line], block, field.domain, dec, Dopri5(), cfg)
     assert line.status is Status.ZERO_VELOCITY
     # The particle converged near the origin.
     assert np.linalg.norm(line.position) < 0.05
@@ -87,7 +94,7 @@ def test_geometry_accumulates_with_seed_first():
     seed = np.array([0.1, 0.2, 0.2])
     line = Streamline(sid=0, seed=seed, block_id=0)
     cfg = IntegratorConfig(max_steps=100, h_max=0.02)
-    advance_batch([line], block, field.domain, Dopri5(), cfg)
+    advance_in_block([line], block, field.domain, dec, Dopri5(), cfg)
     verts = line.vertices()
     assert np.allclose(verts[0], seed)
     assert len(verts) == line.steps + 1
@@ -107,13 +114,13 @@ def test_batch_equals_individual_trajectories():
     batch_lines = make_streamlines(seeds)
     for l in batch_lines:
         l.block_id = bid
-    advance_batch(batch_lines, block_of(field, dec, bid), field.domain,
-                  Dopri5(), cfg)
+    advance_in_block(batch_lines, block_of(field, dec, bid), field.domain, dec,
+                     Dopri5(), cfg)
 
     for i, seed in enumerate(seeds):
         solo = Streamline(sid=100 + i, seed=seed, block_id=bid)
-        advance_batch([solo], block_of(field, dec, bid), field.domain,
-                      Dopri5(), cfg)
+        advance_in_block([solo], block_of(field, dec, bid), field.domain, dec,
+                         Dopri5(), cfg)
         assert solo.status == batch_lines[i].status
         assert solo.steps == batch_lines[i].steps
         assert np.allclose(solo.vertices(), batch_lines[i].vertices(),
@@ -123,8 +130,8 @@ def test_batch_equals_individual_trajectories():
 def test_empty_batch():
     field = UniformField(domain=Bounds.cube(0.0, 1.0))
     dec = make_setup(field)
-    res = advance_batch([], block_of(field, dec, 0), field.domain,
-                        Dopri5(), IntegratorConfig())
+    res = advance_in_block([], block_of(field, dec, 0), field.domain, dec,
+                           Dopri5(), IntegratorConfig())
     assert res.attempted_steps == 0
     assert res.exited == [] and res.terminated == []
 
@@ -135,8 +142,8 @@ def test_inactive_line_rejected():
     line = Streamline(sid=0, seed=np.array([0.1, 0.1, 0.1]))
     line.terminate(Status.MAX_STEPS)
     with pytest.raises(ValueError):
-        advance_batch([line], block_of(field, dec, 0), field.domain,
-                      Dopri5(), IntegratorConfig())
+        advance_in_block([line], block_of(field, dec, 0), field.domain, dec,
+                         Dopri5(), IntegratorConfig())
 
 
 def test_attempted_at_least_accepted():
@@ -145,8 +152,8 @@ def test_attempted_at_least_accepted():
     bid = int(dec.locate(np.array([0.2, 0.2, 0.0])))
     line = Streamline(sid=0, seed=np.array([0.2, 0.2, 0.0]), block_id=bid)
     cfg = IntegratorConfig(max_steps=40, h_max=0.05)
-    res = advance_batch([line], block_of(field, dec, bid), field.domain,
-                        Dopri5(), cfg)
+    res = advance_in_block([line], block_of(field, dec, bid),
+                           field.domain, dec, Dopri5(), cfg)
     assert res.attempted_steps >= res.accepted_steps
     assert res.accepted_steps == line.steps
 
@@ -165,8 +172,8 @@ def test_streamline_state_persists_across_calls():
             line.terminate(Status.OUT_OF_BOUNDS)
             break
         line.block_id = bid
-        advance_batch([line], block_of(field, dec, bid), field.domain,
-                      Dopri5(), cfg)
+        advance_in_block([line], block_of(field, dec, bid), field.domain, dec,
+                         Dopri5(), cfg)
         hops += 1
         assert hops < 500
     # Crossed the whole domain: ~0.95 units of x at |v| = 1.

@@ -5,7 +5,6 @@ import pytest
 
 from repro.fields import UniformField, sample_block, sample_field
 from repro.fields.library import RigidRotationField
-from repro.integrate.advect import advance_batch
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
@@ -59,7 +58,7 @@ def test_line_crosses_blocks_inside_pool(rotation_setup):
 
 
 def test_pool_trajectory_identical_to_blockwise(rotation_setup):
-    """The pooled kernel must reproduce repeated advance_batch exactly."""
+    """The pooled kernel must reproduce one-block pools hop by hop."""
     field, dec, blocks = rotation_setup
     cfg = IntegratorConfig(max_steps=300, h_max=0.03)
     seed = [0.4, 0.1, -0.2]
@@ -70,14 +69,8 @@ def test_pool_trajectory_identical_to_blockwise(rotation_setup):
 
     blockwise = start_line(dec, seed, sid=1)
     while blockwise.status is Status.ACTIVE:
-        advance_batch([blockwise], blocks[blockwise.block_id],
-                      field.domain, Dopri5(), cfg)
-        if blockwise.status is Status.ACTIVE:
-            bid = int(dec.locate(blockwise.position))
-            if bid < 0:
-                blockwise.terminate(Status.OUT_OF_BOUNDS)
-                break
-            blockwise.block_id = bid
+        advance_pool([blockwise], BlockPool([blocks[blockwise.block_id]]),
+                     field.domain, dec, Dopri5(), cfg)
 
     assert pooled.status == blockwise.status
     assert pooled.steps == blockwise.steps

@@ -1,16 +1,18 @@
-"""Bit-exactness guards for the fused hot-path kernels.
+"""Bit-exactness guards for the hot-path kernels.
 
-The advection compute stack (cached :class:`BlockPool`, fused
-:class:`PoolSampler`, workspace DOPRI5, the small-batch scalar rounds)
-is pure optimization: every simulated result must be bit-for-bit what
-the straightforward NumPy implementation produces.  These tests pin that
-contract from four angles:
+The advection compute stack (the compiled DOPRI5 pool kernel, the fused
+:class:`PoolSampler`, workspace DOPRI5) is pure optimization: every
+simulated result must be bit-for-bit what the straightforward NumPy
+implementation produces.  These tests pin that contract from four
+angles:
 
-* a **golden-trajectory** fixture recorded before the overhaul,
+* a **golden-trajectory** fixture recorded before the overhaul, replayed
+  on both paths,
 * the fused sampler against a **naive reference** implementation,
-* the **scalar** small-batch path against the array path,
-* **fresh-pool-per-call** against cached-pool reuse (what the worker's
-  pool cache changes).
+* the **compiled kernel** against the NumPy path: status, steps, ``h``,
+  ``time``, ``block_id``, vertices and call results, over batch sizes,
+  round budgets, crossings and every outcome,
+* **fresh-pool-per-call** against reusing one pool object.
 
 Regenerating ``tests/data/golden_pool_trajectories.npz`` (only needed if
 the *simulated* semantics intentionally change) re-runs the three cases
@@ -20,17 +22,19 @@ geometry; see ``_replay``'s driver loop for the exact schedule::
     PYTHONPATH=src python tests/data/make_golden_pool_trajectories.py
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
-import repro.integrate.pooled as pooled_mod
-from repro.fields import SupernovaField, sample_field
-from repro.fields.library import RigidRotationField
+from repro.fields import SupernovaField, UniformField, sample_field
+from repro.fields.library import RigidRotationField, SinkField
+from repro.integrate import native
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.fixed import make_integrator
 from repro.integrate.pooled import BlockPool, advance_pool
-from repro.integrate.streamline import make_streamlines
+from repro.integrate.streamline import Status, make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from pathlib import Path
@@ -110,7 +114,7 @@ def test_golden_trajectories_bit_identical(name):
 
 
 # --------------------------------------------------------------------- #
-# Cached pool reuse vs a fresh BlockPool every call
+# One pool object reused across calls vs a fresh BlockPool every call
 # --------------------------------------------------------------------- #
 def test_cached_pool_equals_fresh_pool_per_call():
     rng = np.random.default_rng(7)
@@ -209,31 +213,220 @@ def test_sampler_out_buffer_matches_fresh(sampler_pool):
 
 
 # --------------------------------------------------------------------- #
-# Scalar small-batch path vs array path
+# Compiled kernel vs NumPy path
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_scalar_rounds_match_array_path(monkeypatch, k):
+@contextlib.contextmanager
+def _numpy_path():
+    """Force advance_pool onto the NumPy path (as without a compiler)."""
+    saved = native.kernel
+    native.kernel = lambda: None
+    try:
+        yield
+    finally:
+        native.kernel = saved
+
+
+@pytest.fixture(scope="module")
+def on_both():
+    """``run(fn)`` -> ``(fn() on the compiled kernel, fn() on the NumPy
+    path)``.  Skips where the kernel cannot be built; CI cannot skip it
+    silently (``test_native_kernel_loads_when_gcc_on_path``)."""
+    if native.kernel() is None:
+        pytest.skip("compiled pool kernel unavailable")
+
+    def run(fn):
+        got = fn()
+        with _numpy_path():
+            ref = fn()
+        return got, ref
+    return run
+
+
+def _full_state(lines, results=()):
+    state = _state(lines)
+    state["block_id"] = np.array([l.block_id for l in lines])
+    for i, res in enumerate(results):
+        state[f"result{i}"] = np.array(
+            [res.attempted_steps, res.accepted_steps]
+            + [l.sid for l in res.in_pool] + [-1]
+            + [l.sid for l in res.exited] + [-1]
+            + [l.sid for l in res.terminated])
+    return state
+
+
+def _assert_same(got, ref):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype, key
+        assert got[key].shape == ref[key].shape, key
+        assert got[key].tobytes() == ref[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_trajectories_numpy_path(name):
+    gold = np.load(GOLDEN)
+    with _numpy_path():
+        lines = _replay(CASES[name], gold[f"{name}_seeds"])
+    for key, val in _state(lines).items():
+        assert np.array_equal(gold[f"{name}_{key}"], val), (name, key)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 32, 257])
+def test_native_rounds_match_numpy_path(on_both, k):
     rng = np.random.default_rng(k + 40)
     seeds = rng.uniform(-0.9, 0.9, size=(k, 3))
-    case = CASES["astro_dopri5"]
-    with_scalar = _state(_replay(case, seeds))
-    monkeypatch.setattr(pooled_mod, "_SCALAR_MAX_K", -1)
-    without_scalar = _state(_replay(case, seeds))
-    for key in with_scalar:
-        assert np.array_equal(with_scalar[key], without_scalar[key]), key
+    got, ref = on_both(
+        lambda: _full_state(_replay(CASES["astro_dopri5"], seeds)))
+    _assert_same(got, ref)
 
 
-def test_scalar_ctx_gated_by_pool_size(monkeypatch):
-    field = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
-    dec = Decomposition(field.domain, (2, 2, 2), (5, 5, 5))
+def _replay_occupied(case, seeds, round_limit):
+    """Advance with pools of only the blocks the active lines occupy, as
+    the workers build them: a crossing into an occupied block switches
+    slots inside the call, any other crossing exits the pool."""
+    field = _make_field(case["field"])
+    dec = Decomposition(field.domain, case["counts"], case["dims"])
+    blocks = sample_field(field, dec)
+    integ = case["integ"]()
+    lines = make_streamlines(seeds)
+    for line in lines:
+        line.block_id = int(dec.locate(line.position))
+    active = list(lines)
+    results = []
+    switches = 0
+    while active:
+        before = {l.sid: l.block_id for l in active}
+        pool = BlockPool([blocks[b] for b in sorted(before.values())])
+        res = advance_pool(active, pool, field.domain, dec, integ,
+                           case["cfg"], round_limit=round_limit)
+        for l in res.in_pool + res.terminated:
+            now = int(dec.locate(l.position))
+            switches += now >= 0 and now != before[l.sid]
+        results.append(res)
+        active = res.in_pool + res.exited
+    exits = sum(len(res.exited) for res in results)
+    return _full_state(lines, results), exits, switches
+
+
+@pytest.mark.parametrize("case", ["rot_dopri5", "astro_dopri5"])
+def test_in_pool_and_pool_exit_crossings_match(on_both, case):
+    seeds = np.random.default_rng(3).uniform(-0.4, 0.4, size=(24, 3))
+    got, ref = on_both(lambda: _replay_occupied(CASES[case], seeds, 16))
+    _assert_same(got[0], ref[0])
+    assert got[1:] == ref[1:]
+    exits, switches = got[1:]
+    assert exits > 0
+    if case == "rot_dopri5":  # lines orbit through each other's blocks
+        assert switches > 0
+
+
+def _rot_call(seeds, **limits):
+    """One advance_pool call of ``seeds`` on the full rot_dopri5 pool;
+    returns ``(lines, call)`` where ``call()`` advances them again."""
+    case = CASES["rot_dopri5"]
+    field = _make_field(case["field"])
+    dec = Decomposition(field.domain, case["counts"], case["dims"])
     pool = BlockPool(list(sample_field(field, dec).values()))
-    monkeypatch.setattr(pooled_mod, "_SCALAR_CTX_MAX_NODES", 1)
-    assert pool.scalar_ctx() is None  # too large: no Python mirror
-    pool2 = BlockPool(pool.blocks)
-    monkeypatch.undo()
-    ctx = pool2.scalar_ctx()
-    assert ctx is not None
-    assert ctx is pool2.scalar_ctx()  # cached
+    lines = make_streamlines(seeds)
+    for line in lines:
+        line.block_id = int(dec.locate(line.position))
+
+    def call(**more):
+        return advance_pool(lines, pool, field.domain, dec,
+                            case["integ"](), case["cfg"],
+                            **{**limits, **more})
+    return lines, call
+
+
+@pytest.mark.parametrize("round_limit", [0, 1, 7, None])
+def test_round_limit_matches(on_both, round_limit):
+    seeds = np.random.default_rng(11).uniform(-0.9, 0.9, size=(5, 3))
+
+    def run():
+        lines, call = _rot_call(seeds, round_limit=round_limit)
+        return _full_state(lines, [call()])
+
+    got, ref = on_both(run)
+    _assert_same(got, ref)
+    if round_limit == 0:
+        assert got["result0"][0] == 0  # no step attempted
+
+
+def test_max_rounds_error_matches(on_both):
+    seeds = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3, 3))
+
+    def run():
+        lines, call = _rot_call(seeds, max_rounds=3)
+        with pytest.raises(RuntimeError, match="exceeded 3 rounds"):
+            call()
+        untouched = _full_state(lines)
+        # A round budget within max_rounds stops short of the error.
+        res = call(round_limit=3)
+        assert len(res.in_pool) == 3
+        return untouched, _full_state(lines, [res])
+
+    got, ref = on_both(run)
+    for g, r in zip(got, ref):
+        _assert_same(g, r)
+    assert list(got[0]["steps"]) == [0, 0, 0]
+
+
+STATUS_CASES = {
+    # name: (field, seed, cfg, pool of the seed's block only, expected)
+    "out_of_bounds": (
+        lambda: UniformField(velocity=(1.0, 0.3, 0.0),
+                             domain=Bounds.cube(0.0, 1.0)),
+        [0.8, 0.5, 0.5], IntegratorConfig(max_steps=500, h_max=0.05),
+        False, Status.OUT_OF_BOUNDS),
+    "max_steps": (
+        lambda: RigidRotationField(domain=Bounds.cube(-1.0, 1.0)),
+        [0.5, 0.1, 0.1], IntegratorConfig(max_steps=40, h_max=0.02),
+        False, Status.MAX_STEPS),
+    "zero_velocity": (
+        lambda: SinkField(domain=Bounds.cube(-1.0, 1.0)),
+        [0.05, 0.05, 0.05],
+        IntegratorConfig(max_steps=5000, min_speed=1e-4, h_max=0.1),
+        False, Status.ZERO_VELOCITY),
+    "step_underflow": (
+        lambda: RigidRotationField(domain=Bounds.cube(-1.0, 1.0)),
+        [0.5, 0.1, 0.1],
+        IntegratorConfig(rtol=1e-14, atol=1e-14, h_min=0.5, h_init=0.5,
+                         h_max=0.5),
+        False, Status.STEP_UNDERFLOW),
+    "exited": (
+        lambda: RigidRotationField(domain=Bounds.cube(-1.0, 1.0)),
+        [0.5, 0.1, 0.1], IntegratorConfig(max_steps=2000, h_max=0.02),
+        True, Status.ACTIVE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATUS_CASES))
+def test_every_outcome_matches(on_both, name):
+    make_field, seed, cfg, own_block_only, expected = STATUS_CASES[name]
+
+    def run():
+        field = make_field()
+        dec = Decomposition(field.domain, (2, 2, 2), (6, 6, 6))
+        blocks = sample_field(field, dec)
+        jitter = np.array([[0.0, 0.0, 0.0], [0.01, -0.02, 0.0],
+                           [-0.015, 0.0, 0.01]])
+        lines = make_streamlines(np.asarray(seed) + jitter)
+        for line in lines:
+            line.block_id = int(dec.locate(line.position))
+        if own_block_only:
+            pool = BlockPool([blocks[lines[0].block_id]])
+            lines = [l for l in lines if l.block_id in pool.slot_of]
+        else:
+            pool = BlockPool(list(blocks.values()))
+        res = advance_pool(lines, pool, field.domain, dec,
+                           Dopri5(cfg.rtol, cfg.atol), cfg)
+        return _full_state(lines, [res])
+
+    got, ref = on_both(run)
+    _assert_same(got, ref)
+    assert expected.value in set(got["status"])
+    if name == "exited":
+        assert got["result0"][-1] == -1  # nothing terminated: all exited
 
 
 # --------------------------------------------------------------------- #

@@ -1,15 +1,23 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.base import owner_of_block, partition_contiguous
+from repro.fields import UniformField, sample_field
+from repro.fields.library import (ABCFlowField, RigidRotationField,
+                                  SaddleField, SinkField, SourceField)
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.mesh.interpolate import trilinear
 from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
+from repro.integrate.dopri5 import Dopri5
+from repro.integrate.pooled import BlockPool, advance_pool
+from repro.integrate.streamline import make_streamlines
 from repro.storage.cache import LRUBlockCache
+from tests.test_kernel_equivalence import (  # compiled-vs-NumPy harness
+    _assert_same, _full_state, on_both)
 
 
 # --------------------------------------------------------------------- #
@@ -146,3 +154,53 @@ def test_lru_most_recent_always_resident(capacity, ops):
         if cache.get(bid) is None:
             cache.put(_FakeBlock(bid))  # type: ignore[arg-type]
         assert bid in cache  # the just-touched block is never evicted
+
+
+# --------------------------------------------------------------------- #
+# Compiled pool kernel vs NumPy path
+# --------------------------------------------------------------------- #
+LIBRARY_FIELDS = [
+    lambda d: UniformField(velocity=(0.7, -0.4, 0.2), domain=d),
+    lambda d: RigidRotationField(domain=d),
+    lambda d: SaddleField(domain=d),
+    lambda d: SinkField(domain=d),
+    lambda d: SourceField(domain=d),
+    lambda d: ABCFlowField(domain=d),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, len(LIBRARY_FIELDS) - 1),
+       picks=st.lists(st.tuples(*[st.integers(0, 4)] * 3,
+                                st.sampled_from([0.0, 1e-13, -1e-13])),
+                      min_size=1, max_size=6))
+def test_native_matches_numpy_on_library_fields(on_both, which, picks):
+    """Seeds on block faces, edges and corners (and a hair off them)
+    of a 2x2x2 decomposition, on occupied-block pools."""
+    domain = Bounds.cube(-1.0, 1.0)
+    field = LIBRARY_FIELDS[which](domain)
+    dec = Decomposition(domain, (2, 2, 2), (5, 5, 5))
+    blocks = sample_field(field, dec)
+    seeds = np.array([[-1.0 + 0.5 * i + eps, -1.0 + 0.5 * j,
+                       -1.0 + 0.5 * k + eps] for i, j, k, eps in picks])
+    seeds = seeds[dec.locate_many(seeds) >= 0]
+    assume(len(seeds))
+    cfg = IntegratorConfig(max_steps=60, h_max=0.05)
+
+    def run():
+        lines = make_streamlines(seeds)
+        for line in lines:
+            line.block_id = int(dec.locate(line.position))
+        active = list(lines)
+        results = []
+        while active:
+            pool = BlockPool([blocks[b] for b in
+                              sorted({l.block_id for l in active})])
+            res = advance_pool(active, pool, domain, dec, Dopri5(), cfg,
+                               round_limit=9)
+            results.append(res)
+            active = res.in_pool + res.exited
+        return _full_state(lines, results)
+
+    got, ref = on_both(run)
+    _assert_same(got, ref)
