@@ -26,7 +26,7 @@ from repro.core.ondemand import OnDemandWorker, seeds_grouped_by_block
 from repro.core.problem import ProblemSpec
 from repro.core.reseed import ReseedPolicy
 from repro.core.results import STATUS_OK, STATUS_OOM, RunResult
-from repro.core.static import StaticWorker
+from repro.core.static import StaticWorker, seeds_by_owner
 from repro.obs.recorder import Recorder
 from repro.sim.cluster import Cluster
 from repro.sim.engine import ProcessFailure, Request
@@ -200,8 +200,10 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         raise ValueError("dynamic seeding (reseed=) requires the hybrid "
                          "algorithm (paper §8)")
     if algorithm == "static":
+        buckets = seeds_by_owner(problem, machine.n_ranks)
         workers: List[Worker] = [
-            StaticWorker(cluster.context(r), problem, store)
+            StaticWorker(cluster.context(r), problem, store,
+                         seed_ids=buckets[r])
             for r in range(machine.n_ranks)]
     elif algorithm == "ondemand":
         workers = [OnDemandWorker(cluster.context(r), problem, store)

@@ -25,7 +25,6 @@ seeds from its peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,24 +38,61 @@ from repro.sim.cluster import RankContext
 from repro.sim.engine import Request
 
 
-@dataclass
 class SlaveRecord:
     """The master's model of one slave (refreshed by status messages,
-    updated optimistically when the master issues instructions)."""
+    updated optimistically when the master issues instructions).
 
-    rank: int
-    lines_by_block: Dict[int, int] = field(default_factory=dict)
-    loaded: Set[int] = field(default_factory=set)
-    advanceable: int = 0
+    ``total_lines`` (waiting plus advanceable lines) is read on every
+    rule evaluation, so it is a plain attribute kept current by the
+    writers of its inputs: assigning ``lines_by_block`` or
+    ``advanceable``, and :meth:`pop_block`, the one way to drop a block's
+    entry.  Do not assign ``total_lines`` or mutate ``lines_by_block`` in
+    place.
+    """
+
+    __slots__ = ("rank", "loaded", "total_lines", "_lines_by_block",
+                 "_advanceable")
+
+    def __init__(self, rank: int,
+                 lines_by_block: Optional[Dict[int, int]] = None,
+                 loaded: Optional[Set[int]] = None,
+                 advanceable: int = 0) -> None:
+        self.rank = rank
+        self.loaded = set() if loaded is None else loaded
+        self._advanceable = advanceable
+        self.lines_by_block = {} if lines_by_block is None \
+            else lines_by_block
 
     @property
-    def total_lines(self) -> int:
-        return sum(self.lines_by_block.values()) + self.advanceable
+    def lines_by_block(self) -> Dict[int, int]:
+        """Lines per block as last reported or since adjusted."""
+        return self._lines_by_block
+
+    @lines_by_block.setter
+    def lines_by_block(self, counts: Dict[int, int]) -> None:
+        self._lines_by_block = counts
+        self.total_lines = sum(counts.values()) + self._advanceable
+
+    @property
+    def advanceable(self) -> int:
+        """Lines the slave can advance now (in blocks it has loaded)."""
+        return self._advanceable
+
+    @advanceable.setter
+    def advanceable(self, n: int) -> None:
+        self.total_lines += n - self._advanceable
+        self._advanceable = n
+
+    def pop_block(self, bid: int) -> int:
+        """Drop ``bid``'s entry; returns its line count (0 if absent)."""
+        n = self._lines_by_block.pop(bid, 0)
+        self.total_lines -= n
+        return n
 
     def waiting_blocks(self) -> List[Tuple[int, int]]:
         """(count, block) pairs for blocks with waiting lines, sorted by
         descending count then ascending block id (deterministic)."""
-        pairs = [(c, b) for b, c in self.lines_by_block.items()
+        pairs = [(c, b) for b, c in self._lines_by_block.items()
                  if c > 0 and b not in self.loaded]
         pairs.sort(key=lambda cb: (-cb[0], cb[1]))
         return pairs
@@ -80,6 +116,11 @@ class HybridMaster:
         self.is_root = ctx.rank == self.root
         #: Seed pool: block id -> [(sid, seed point), ...]
         self.pool = pool
+        #: Seeds in the pool, kept by every method that adds or takes
+        #: pool entries (the pool is only mutated in this class).
+        self._pool_seeds = sum(len(v) for v in pool.values())
+        #: Slave records in ``slaves`` order (the rules iterate
+        #: ``records.values()`` and rely on that order for ties).
         self.records: Dict[int, SlaveRecord] = {
             s: SlaveRecord(rank=s) for s in self.slaves}
         self.needs_work: Set[int] = set()
@@ -96,6 +137,10 @@ class HybridMaster:
         self._done = False
         self._rng = np.random.default_rng(
             (config.seed, ctx.rank))
+        #: Blocks a slave may hold before locality bias stops applying
+        #: (see HybridConfig); its inputs are fixed for the run.
+        self._locality_budget = min(config.duplication_budget,
+                                    self._cache_capacity() - 1)
         # Inter-master seed balancing state.
         self._dry_masters: Set[int] = set()
         self._request_outstanding = False
@@ -113,23 +158,26 @@ class HybridMaster:
     # Pool helpers
     # ------------------------------------------------------------------ #
     def pool_size(self) -> int:
-        return sum(len(v) for v in self.pool.values())
+        return self._pool_seeds
 
     def _pool_block_with_most_seeds(self) -> Optional[int]:
-        best = None
-        for bid, entries in self.pool.items():
-            if not entries:
-                continue
-            if best is None or (len(entries), -bid) \
-                    > (len(self.pool[best]), -best):
-                best = bid
-        return best
+        """The block with the most pool seeds (lowest id on ties)."""
+        if not self._pool_seeds:
+            return None
+        pool = self.pool
+        return max(pool, key=lambda bid: (len(pool[bid]), -bid))
+
+    def _add_to_pool(self, bid: int,
+                     entries: List[Tuple[int, np.ndarray]]) -> None:
+        self.pool.setdefault(bid, []).extend(entries)
+        self._pool_seeds += len(entries)
 
     def _take_seeds(self, bid: int, n: int) -> msg.AssignSeeds:
         entries = self.pool[bid]
         take, self.pool[bid] = entries[:n], entries[n:]
         if not self.pool[bid]:
             del self.pool[bid]
+        self._pool_seeds -= len(take)
         sids = tuple(sid for sid, _ in take)
         seeds = np.stack([pt for _, pt in take])
         return msg.AssignSeeds(block_id=bid, sids=sids, seeds=seeds)
@@ -156,7 +204,7 @@ class HybridMaster:
                    bid: int) -> Generator[Request, Any, None]:
         yield from self._send(s.rank, msg.KIND_LOAD, msg.LoadBlock(bid))
         s.loaded.add(bid)
-        s.advanceable += s.lines_by_block.pop(bid, 0)
+        s.advanceable += s.pop_block(bid)
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "load_rule", slave=s.rank,
                                 block=bid)
@@ -165,7 +213,7 @@ class HybridMaster:
                          bid: int) -> Generator[Request, Any, None]:
         yield from self._send(src.rank, msg.KIND_SEND_FORCE,
                               msg.SendForce(block_id=bid, dest=dst.rank))
-        moved = src.lines_by_block.pop(bid, 0)
+        moved = src.pop_block(bid)
         dst.advanceable += moved  # dst has bid loaded, so they can run.
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "send_force", src=src.rank,
@@ -184,16 +232,14 @@ class HybridMaster:
                            incoming: int) -> Optional[SlaveRecord]:
         """A slave with ``bid`` loaded and headroom for ``incoming`` more
         streamlines under N_O (deterministic: least-loaded, lowest rank)."""
+        limit = self.config.overload_limit - incoming
         best = None
-        for rank in self.slaves:
-            if rank == exclude:
-                continue
-            r = self.records[rank]
-            if bid in r.loaded \
-                    and r.total_lines + incoming <= self.config.overload_limit:
-                if best is None or (r.total_lines, rank) \
-                        < (best.total_lines, best.rank):
-                    best = r
+        for r in self.records.values():
+            if bid in r.loaded and r.total_lines <= limit \
+                    and r.rank != exclude \
+                    and (best is None or (r.total_lines, r.rank)
+                         < (best.total_lines, best.rank)):
+                best = r
         return best
 
     def _cache_capacity(self) -> int:
@@ -207,37 +253,42 @@ class HybridMaster:
         """Apply the 7-step sequence to one starving slave."""
         s = self.records[slave_rank]
         cfg = self.config
+        # S's waiting blocks are listed once: only steps 1, 2 and 6 read
+        # them, and until something is assigned only step 1's
+        # Send_forces change them (each drops its block from the list).
+        waiting = s.waiting_blocks()
 
         # Locality bias (see HybridConfig): while S is under its
         # duplication budget, loading the block it needs is cheaper over
         # the curve's lifetime than migrating geometry on every crossing.
-        budget = min(cfg.duplication_budget, self._cache_capacity() - 1)
-        if cfg.locality_bias and len(s.loaded) < budget:
-            waiting = s.waiting_blocks()
-            if waiting:
-                yield from self._emit_load(s, waiting[0][1])
-                self.needs_work.discard(s.rank)
-                self._hinted.discard(s.rank)
-                return
+        if cfg.locality_bias and len(s.loaded) < self._locality_budget \
+                and waiting:
+            yield from self._emit_load(s, waiting[0][1])
+            self.needs_work.discard(s.rank)
+            self._hinted.discard(s.rank)
+            return
 
         # Step 1: Send_force S's waiting lines to slaves holding the block.
         # Per the paper's N_L semantics, "streamlines are not migrated
         # from a slave that has a significant number N_L of outstanding
         # streamlines in the same block" — those blocks are kept for the
         # Load rule (step 2) instead.
-        for count, bid in s.waiting_blocks():
-            if count > cfg.load_threshold:
-                continue
-            t = self._find_loaded_slave(bid, exclude=s.rank, incoming=count)
-            if t is not None:
-                yield from self._emit_send_force(s, t, bid)
+        kept = []
+        for count, bid in waiting:
+            if count <= cfg.load_threshold:
+                t = self._find_loaded_slave(bid, exclude=s.rank,
+                                            incoming=count)
+                if t is not None:
+                    yield from self._emit_send_force(s, t, bid)
+                    continue
+            kept.append((count, bid))
+        waiting = kept
 
-        # Step 2: Load a block S has > N_L waiting lines in.
+        # Step 2: Load a block S has > N_L waiting lines in (the list is
+        # sorted by descending count, so only its head can qualify).
         assigned = False
-        heavy = [(c, b) for c, b in s.waiting_blocks()
-                 if c > cfg.load_threshold]
-        if heavy:
-            _, bid = heavy[0]
+        if waiting and waiting[0][0] > cfg.load_threshold:
+            bid = waiting[0][1]
             yield from self._emit_load(s, bid)
             assigned = True
             # Step 3: the loaded-block set changed; other slaves may now
@@ -251,39 +302,43 @@ class HybridMaster:
                         and s.total_lines + moved <= cfg.overload_limit:
                     yield from self._emit_send_force(t, s, bid)
 
-        # Step 4: Assign_loaded — pool seeds in a block S already has.
-        if not assigned:
-            for bid in sorted(s.loaded):
-                if self.pool.get(bid):
-                    yield from self._emit_assign(s, bid)
-                    assigned = True
-                    break
-
-        # Step 5: Assign_unloaded — pool seeds from any block.
-        if not assigned:
-            bid = self._pool_block_with_most_seeds()
+        # Step 4: Assign_loaded — pool seeds in the lowest-numbered block
+        # S already has.
+        if not assigned and self._pool_seeds:
+            pool = self.pool
+            bid = min((b for b in s.loaded if pool.get(b)), default=None)
             if bid is not None:
                 yield from self._emit_assign(s, bid)
                 assigned = True
 
+        # Step 5: Assign_unloaded — pool seeds from any block.
+        if not assigned and self._pool_seeds:
+            yield from self._emit_assign(
+                s, self._pool_block_with_most_seeds())
+            assigned = True
+
         # Step 6: load S's most-populated waiting block (below N_L too).
-        if not assigned:
-            waiting = s.waiting_blocks()
-            if waiting:
-                yield from self._emit_load(s, waiting[0][1])
-                assigned = True
+        if not assigned and waiting:
+            yield from self._emit_load(s, waiting[0][1])
+            assigned = True
 
         # Step 7: Send_hint — ask a busy slave to feed S (at most once
         # per idle episode of S, see _hinted).
         if not assigned and s.rank not in self._hinted:
-            candidates = [(self.records[r].total_lines, r)
-                          for r in self.slaves if r != s.rank
-                          and self.records[r].total_lines > 0]
-            if candidates:
-                most = max(c for c, _ in candidates)
-                busiest = [r for c, r in candidates if c == most]
-                target = self.records[
-                    busiest[int(self._rng.integers(len(busiest)))]]
+            # The busiest other slaves, in slave order (the random pick
+            # below indexes this list).
+            most = 0
+            busiest: List[SlaveRecord] = []
+            for r in self.records.values():
+                n = r.total_lines
+                if n < most or n == 0 or r is s:
+                    continue
+                if n > most:
+                    most, busiest = n, [r]
+                else:
+                    busiest.append(r)
+            if busiest:
+                target = busiest[int(self._rng.integers(len(busiest)))]
                 # Hint blocks the target can ship (its waiting blocks),
                 # preferring ones S already has loaded.
                 shippable = [b for _, b in target.waiting_blocks()]
@@ -320,7 +375,7 @@ class HybridMaster:
     # ------------------------------------------------------------------ #
     def _maybe_request_seeds(self) -> Generator[Request, Any, None]:
         if self._request_outstanding or not self.needs_work \
-                or self.pool_size() > 0:
+                or self._pool_seeds:
             return
         peers = [m for m in self.masters
                  if m != self.ctx.rank and m not in self._dry_masters]
@@ -394,6 +449,7 @@ class HybridMaster:
         (block id -1) so the global count can still reach n_seeds.  Every
         master handles its own share; the deltas flow to the root."""
         entries = self.pool.pop(-1, [])
+        self._pool_seeds -= len(entries)
         obs = self.ctx.obs
         for sid, pt in entries:
             line = Streamline(sid=sid, seed=pt)
@@ -437,8 +493,8 @@ class HybridMaster:
                     self._dry_masters.add(m.src)
                 else:
                     for bid, (sids, seeds) in payload.by_block.items():
-                        self.pool.setdefault(bid, []).extend(
-                            (sid, seeds[i]) for i, sid in enumerate(sids))
+                        self._add_to_pool(bid, [
+                            (sid, seeds[i]) for i, sid in enumerate(sids)])
             elif isinstance(payload, msg.Done):
                 yield from self._forward_done_to_slaves()
             else:
@@ -466,7 +522,7 @@ class HybridMaster:
                 continue
             sid = self._next_dynamic_sid
             self._next_dynamic_sid += 1
-            self.pool.setdefault(bid, []).append((sid, pt.copy()))
+            self._add_to_pool(bid, [(sid, pt.copy())])
             admitted += 1
         self._reseed_remaining -= take
         if admitted:

@@ -16,7 +16,7 @@ streamline on one owner (§5.3).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,19 +29,38 @@ from repro.sim.engine import Request
 from repro.storage.store import BlockStore
 
 
+def seeds_by_owner(problem: ProblemSpec, n_ranks: int) -> List[List[int]]:
+    """Seed ids per rank, ascending: each rank gets the seeds whose
+    initial block it owns, and rank 0 also the out-of-domain seeds."""
+    buckets: List[List[int]] = [[] for _ in range(n_ranks)]
+    n_blocks = problem.n_blocks
+    for sid, bid in enumerate(problem.seed_blocks.tolist()):
+        owner = 0 if bid < 0 else owner_of_block(bid, n_blocks, n_ranks)
+        buckets[owner].append(sid)
+    return buckets
+
+
 class StaticWorker(Worker):
     """One rank of the Static Allocation algorithm.
 
     Rank 0 additionally plays the count coordinator: it accumulates
     terminated-count deltas and broadcasts ``Done`` when the global count
     reaches the seed count.
+
+    ``seed_ids`` is this rank's entry of :func:`seeds_by_owner`
+    (computed here when not given); the driver buckets the seeds once
+    for all ranks and passes each rank its entry.
     """
 
     def __init__(self, ctx: RankContext, problem: ProblemSpec,
-                 store: BlockStore) -> None:
+                 store: BlockStore,
+                 seed_ids: Optional[Sequence[int]] = None) -> None:
         super().__init__(ctx, problem, store)
         self.n_ranks = ctx.spec.n_ranks
         self.n_blocks = problem.n_blocks
+        if seed_ids is None:
+            seed_ids = seeds_by_owner(problem, self.n_ranks)[ctx.rank]
+        self.seed_ids = seed_ids
         #: Active streamlines waiting in owned blocks, grouped by block.
         self.queue: Dict[int, List[Streamline]] = {}
         self._pending_term_delta = 0
@@ -58,29 +77,27 @@ class StaticWorker(Worker):
     def _setup_seeds(self) -> None:
         """Claim the seeds whose initial block this rank owns.
 
-        Out-of-domain seeds are terminated immediately by rank 0 (they
-        belong to no block) so the global count still reaches n_seeds.
+        Out-of-domain seeds belong to no block; :func:`seeds_by_owner`
+        gives them to rank 0, which terminates them immediately so the
+        global count still reaches n_seeds.
         """
         seed_blocks = self.problem.seed_blocks
-        for sid in range(self.problem.n_seeds):
+        for sid in self.seed_ids:
             bid = int(seed_blocks[sid])
             if bid < 0:
-                if self.ctx.rank == 0:
-                    line = Streamline(sid=sid, seed=self.problem.seeds[sid])
-                    self.own_line(line)
-                    line.terminate(Status.OUT_OF_BOUNDS)
-                    self.done_lines.append(line)
-                    self.ctx.metrics.streamlines_completed += 1
-                    self._pending_term_delta += 1
-                    if self.ctx.obs.enabled:
-                        self.ctx.obs.marker(self.ctx.rank, "seed.term",
-                                            sid=sid)
-                continue
-            if self.owns_block(bid):
-                line = Streamline(sid=sid, seed=self.problem.seeds[sid],
-                                  block_id=bid)
+                line = Streamline(sid=sid, seed=self.problem.seeds[sid])
                 self.own_line(line)
-                self.queue.setdefault(bid, []).append(line)
+                line.terminate(Status.OUT_OF_BOUNDS)
+                self.done_lines.append(line)
+                self.ctx.metrics.streamlines_completed += 1
+                self._pending_term_delta += 1
+                if self.ctx.obs.enabled:
+                    self.ctx.obs.marker(self.ctx.rank, "seed.term", sid=sid)
+                continue
+            line = Streamline(sid=sid, seed=self.problem.seeds[sid],
+                              block_id=bid)
+            self.own_line(line)
+            self.queue.setdefault(bid, []).append(line)
 
     # ------------------------------------------------------------------ #
     # Message handling

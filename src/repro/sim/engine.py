@@ -26,7 +26,7 @@ addresses.  Running the same program twice produces bit-identical traces.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -110,13 +110,6 @@ class Wait(Request):
 
     signal: Signal
     reason: str = "wait"
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
 
 
 class Process:
@@ -206,7 +199,9 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_Event] = []
+        #: Heap of ``(time, seq, fn)``; ``seq`` is unique, so ties on
+        #: time never fall through to comparing the callables.
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._live_processes = 0
         self._processes: list[Process] = []
@@ -230,7 +225,7 @@ class Engine:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._queue, _Event(time, self._seq, fn))
+        heapq.heappush(self._queue, (time, self._seq, fn))
 
     def _schedule_resume(self, proc: Process, value: Any) -> None:
         self._schedule(self.now, lambda: proc._step(value))
@@ -307,15 +302,16 @@ class Engine:
                 if self._failure is not None:
                     raise self._failure
                 event = heapq.heappop(self._queue)
-                if until is not None and event.time > until:
+                time, _, fn = event
+                if until is not None and time > until:
                     heapq.heappush(self._queue, event)
                     break
-                if event.time < self.now:
+                if time < self.now:
                     raise AssertionError("event queue time went backwards")
-                self.now = event.time
+                self.now = time
                 if self.observer is not None:
-                    self.observer.on_time_advance(self.now)
-                event.fn()
+                    self.observer.on_time_advance(time)
+                fn()
                 processed += 1
                 self.event_count += 1
                 if max_events is not None and processed > max_events:

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import messages as msg
 from repro.core.base import owner_of_block, partition_contiguous
+from repro.core.config import HybridConfig
 from repro.fields import UniformField, sample_field
 from repro.fields.library import (ABCFlowField, RigidRotationField,
                                   SaddleField, SinkField, SourceField)
@@ -18,6 +22,7 @@ from repro.integrate.streamline import make_streamlines
 from repro.storage.cache import LRUBlockCache
 from tests.test_kernel_equivalence import (  # compiled-vs-NumPy harness
     _assert_same, _full_state, on_both)
+from tests.test_master_unit import make_master
 
 
 # --------------------------------------------------------------------- #
@@ -154,6 +159,75 @@ def test_lru_most_recent_always_resident(capacity, ops):
         if cache.get(bid) is None:
             cache.put(_FakeBlock(bid))  # type: ignore[arg-type]
         assert bid in cache  # the just-touched block is never evicted
+
+
+# --------------------------------------------------------------------- #
+# Hybrid master's slave records
+# --------------------------------------------------------------------- #
+SLAVES = (1, 2, 3)
+BLOCKS = range(8)
+_block_counts = st.dictionaries(st.sampled_from(BLOCKS), st.integers(0, 6),
+                                max_size=6)
+_master_ops = st.lists(st.one_of(
+    st.tuples(st.just("status"), st.sampled_from(SLAVES), _block_counts,
+              st.frozensets(st.sampled_from(BLOCKS), max_size=4),
+              st.integers(0, 5)),
+    st.tuples(st.just("assign"), st.sampled_from(SLAVES),
+              st.sampled_from(BLOCKS)),
+    st.tuples(st.just("load"), st.sampled_from(SLAVES),
+              st.sampled_from(BLOCKS)),
+    st.tuples(st.just("send_force"), st.sampled_from(SLAVES),
+              st.sampled_from(SLAVES), st.sampled_from(BLOCKS)),
+    st.tuples(st.just("try_assign"), st.sampled_from(SLAVES)),
+), min_size=1, max_size=40)
+
+
+def _drain(gen):
+    """Run a master instruction generator outside the engine (its
+    simulated sends are priced but never delivered)."""
+    for _ in gen:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_master_ops, locality_bias=st.booleans())
+def test_slave_record_bookkeeping(ops, locality_bias):
+    """The maintained ``total_lines`` and ``waiting_blocks()`` agree with
+    a from-scratch recomputation after any sequence of status reports
+    and master instructions."""
+    pool = {b: [(10 * b + i, np.zeros(3)) for i in range(5)]
+            for b in BLOCKS}
+    m = make_master(pool=pool, slaves=SLAVES, config=HybridConfig(
+        assignment_quantum=2, overload_limit=12, load_threshold=3,
+        locality_bias=locality_bias, duplication_budget=2))
+    for op in ops:
+        kind, rank = op[0], op[1]
+        rec = m.records[rank]
+        if kind == "status":
+            _, _, counts, loaded, advanceable = op
+            status = msg.SlaveStatus(
+                slave=rank, lines_by_block=counts,
+                loaded_blocks=tuple(sorted(loaded)),
+                advanceable=advanceable, terminated_delta=0)
+            _drain(m._process([SimpleNamespace(src=rank, payload=status)]))
+        elif kind == "assign":
+            if m.pool.get(op[2]):
+                _drain(m._emit_assign(rec, op[2]))
+        elif kind == "load":
+            _drain(m._emit_load(rec, op[2]))
+        elif kind == "send_force":
+            _drain(m._emit_send_force(rec, m.records[op[2]], op[3]))
+        else:
+            m.needs_work.add(rank)
+            _drain(m._try_assign(rank))
+        for r in m.records.values():
+            counts = r.lines_by_block
+            assert r.total_lines == sum(counts.values()) + r.advanceable
+            expected = sorted(((c, b) for b, c in counts.items()
+                               if c > 0 and b not in r.loaded),
+                              key=lambda cb: (-cb[0], cb[1]))
+            assert r.waiting_blocks() == expected
+        assert m.pool_size() == sum(len(v) for v in m.pool.values())
 
 
 # --------------------------------------------------------------------- #

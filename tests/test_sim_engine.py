@@ -281,3 +281,77 @@ def test_determinism_same_program_same_schedule():
         return log
 
     assert build() == build()
+
+
+# --------------------------------------------------------------------- #
+# Heap ordering: (time, seq) only; callables are never compared
+# --------------------------------------------------------------------- #
+class _Unorderable:
+    """A callable that refuses every ordering comparison."""
+
+    def __init__(self, log, i):
+        self.log = log
+        self.i = i
+
+    def __call__(self):
+        self.log.append(self.i)
+
+    def __lt__(self, other):
+        raise AssertionError("engine compared two event callables")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+def test_equal_time_events_keep_scheduling_order_at_scale():
+    engine = Engine()
+    log = []
+    n = 10_000
+    for i in range(n):
+        engine.call_at(1.0, _Unorderable(log, i))
+    assert engine.pending_events == n
+    engine.run()
+    assert log == list(range(n))
+    assert engine.pending_events == 0
+    assert engine.event_count == n
+
+
+def test_run_until_pushes_back_and_resumes_in_order():
+    engine = Engine()
+    log = []
+    times = [0.5, 2.0, 2.0, 1.0, 3.0, 2.0, 1.0]
+    for i, t in enumerate(times):
+        engine.call_at(t, _Unorderable(log, i))
+    assert engine.pending_events == len(times)
+    engine.run(until=1.5)
+    # Events at <= until ran in (time, scheduling) order; the first one
+    # past it was popped, pushed back and is still queued.
+    assert log == [0, 3, 6]
+    assert engine.now == 1.0
+    assert engine.pending_events == 4
+    engine.run(until=2.0)  # an event exactly at ``until`` still runs
+    assert log == [0, 3, 6, 1, 2, 5]
+    assert engine.pending_events == 1
+    engine.run()
+    assert log == [0, 3, 6, 1, 2, 5, 4]
+    assert engine.now == 3.0
+    assert engine.pending_events == 0
+
+
+def test_pending_events_tracks_schedule_and_dispatch():
+    engine = Engine()
+    seen = []
+
+    def prog():
+        seen.append(engine.pending_events)  # the other spawn's step
+        yield Sleep(1.0)
+        seen.append(engine.pending_events)
+
+    engine.spawn("a", prog())
+    engine.spawn("b", prog())
+    engine.call_later(5.0, lambda: seen.append(engine.pending_events))
+    assert engine.pending_events == 3
+    engine.run()
+    # a's first step runs with b's step and the t=5 callback queued;
+    # b's first step with a's wake-up and the callback; and so on.
+    assert seen == [2, 2, 2, 1, 0]
+    assert engine.pending_events == 0
